@@ -9,7 +9,8 @@
 //! JSON to a file — the committed `bench-results/` artifacts and the
 //! CI upload come from this. The first object is always a `meta` line
 //! carrying the artifact schema version and the series list, so that
-//! `diff` can refuse incompatible artifacts.
+//! `diff` can refuse incompatible artifacts, and the CPU count and
+//! engine thread count the timings were taken at.
 //!
 //! Regression mode: `scale diff baseline.json candidate.json
 //! [--tolerance pct]` compares two artifacts series-by-series. A schema
@@ -86,15 +87,22 @@ fn main() -> ExitCode {
     }
     let mut em = Emitter { out };
 
-    // The meta line first: schema and series versioning for `diff`.
+    // The meta line first: schema and series versioning for `diff`,
+    // plus the CPU count and the worker threads of the engine-backed
+    // series, without which no timing in the artifact can be read.
     {
         let series: Vec<String> = SERIES.iter().map(|s| format!("\"{s}\"")).collect();
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = Engine::new().threads();
         em.emit(
             format!(
-                "{{\"bench\":\"meta\",\"schema\":{SCHEMA},\"series\":[{}]}}",
+                "{{\"bench\":\"meta\",\"schema\":{SCHEMA},\"nproc\":{nproc},\"threads\":{threads},\"series\":[{}]}}",
                 series.join(",")
             ),
-            format!("meta: schema v{SCHEMA}, {} series", SERIES.len()),
+            format!(
+                "meta: schema v{SCHEMA}, {} series, {nproc} CPUs, {threads} engine threads",
+                SERIES.len()
+            ),
         );
     }
 

@@ -134,8 +134,6 @@ pub struct RequestOptions {
     pub session: bool,
     /// Worker threads for batch subcommands (`None` = all cores).
     pub jobs: Option<usize>,
-    /// Whether batch workers share one striped normalization memo.
-    pub shared_cache: bool,
     /// Whether the certified optimizer's plan search may use mined
     /// rewrite rules (`--mined-rules`). Off by default: with the flag
     /// off, every prove/optimize output is bit-identical to a build
@@ -151,7 +149,6 @@ impl Default for RequestOptions {
             budget: BudgetSpec::default(),
             session: true,
             jobs: None,
-            shared_cache: true,
             mined_rules: false,
         }
     }
@@ -176,7 +173,6 @@ impl RequestOptions {
             None => crate::engine::EngineConfig::default(),
         };
         config.prove = self.prove_options(script_budget);
-        config.shared_cache = self.shared_cache;
         config.mined = self.mined_rules.then(default_mined_catalog);
         crate::engine::Engine::with_config(config)
     }
@@ -635,8 +631,7 @@ impl Prover {
         Prover::with_cache(NormCache::new(), opts)
     }
 
-    /// A prover over a pre-seeded cache — the batch engine hands each
-    /// worker a cache cloned from the shared interner snapshot.
+    /// A prover over a caller-supplied normalization cache.
     pub fn with_cache(cache: NormCache, opts: ProveOptions) -> Prover {
         Prover {
             cache,
@@ -986,8 +981,8 @@ impl Workspace {
                 Response::Mined(summary)
             }
             // Catalog/discovery runs are engine-shaped (their own
-            // worker pool and warm snapshot); resident state would buy
-            // nothing, so they always run fresh.
+            // worker pool and per-worker state); resident state would
+            // buy nothing, so they always run fresh.
             _ => execute(req),
         }
     }

@@ -35,8 +35,6 @@
 //!   validated by the same [`BudgetSpec`] as script `budget` directives
 //!   and serve requests;
 //! - `--jobs N` / `-j N` — worker threads (catalog/optimize/serve);
-//! - `--no-shared-cache` — per-worker normalization memo tables only
-//!   (catalog mode; the default shares one striped table);
 //! - `--no-session` — fresh solver state per goal instead of one
 //!   persistent session per worker (the differential baseline; answers
 //!   are identical either way);
@@ -88,7 +86,6 @@ struct Flags {
     saturate: bool,
     /// The three saturation knobs, through the shared validation point.
     budget: BudgetSpec,
-    no_shared_cache: bool,
     no_session: bool,
     discover: bool,
     addr: Option<String>,
@@ -137,7 +134,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--sat-iters" => parse_knob(&mut flags, "iters", it.next())?,
             "--sat-nodes" => parse_knob(&mut flags, "nodes", it.next())?,
             "--sat-oracle-calls" => parse_knob(&mut flags, "oracle-calls", it.next())?,
-            "--no-shared-cache" => flags.no_shared_cache = true,
             "--no-session" => flags.no_session = true,
             "--discover" => flags.discover = true,
             "--addr" => flags.addr = Some(parse_str(arg, it.next())?),
@@ -224,7 +220,6 @@ impl Flags {
         match cmd {
             "check" => {
                 reject(self.jobs.is_some(), "--jobs")?;
-                reject(self.no_shared_cache, "--no-shared-cache")?;
                 reject(self.saturate, "--saturate (use `prove`)")?;
                 reject(self.budget.iters.is_some(), "--sat-iters (use `prove`)")?;
                 reject(self.budget.nodes.is_some(), "--sat-nodes (use `prove`)")?;
@@ -237,7 +232,6 @@ impl Flags {
             }
             "prove" => {
                 reject(self.jobs.is_some(), "--jobs")?;
-                reject(self.no_shared_cache, "--no-shared-cache")?;
                 reject(self.discover, "--discover (use `catalog`)")?;
             }
             "optimize" => {
@@ -258,7 +252,6 @@ impl Flags {
                 reject(self.budget.iters.is_some(), "--sat-iters")?;
                 reject(self.budget.nodes.is_some(), "--sat-nodes")?;
                 reject(self.budget.oracle_calls.is_some(), "--sat-oracle-calls")?;
-                reject(self.no_shared_cache, "--no-shared-cache")?;
                 reject(self.no_session, "--no-session")?;
                 reject(self.discover, "--discover (use `catalog`)")?;
             }
@@ -288,7 +281,6 @@ impl Flags {
             budget: self.budget,
             session: !self.no_session,
             jobs: self.jobs,
-            shared_cache: !self.no_shared_cache,
             mined_rules: self.mined_rules,
         }
     }
@@ -551,8 +543,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: dopcert check <file.dop | ->\n\
                  \x20      dopcert prove [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--trace-out FILE] [--profile] <file.dop | ->\n\
-                 \x20      dopcert optimize [--jobs N] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-shared-cache] [--no-session] [--mined-rules] [--trace-out FILE] [--profile] [--explain] <file.dop | ->\n\
-                 \x20      dopcert catalog [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-shared-cache] [--no-session] [--discover] [--profile]\n\
+                 \x20      dopcert optimize [--jobs N] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--mined-rules] [--trace-out FILE] [--profile] [--explain] <file.dop | ->\n\
+                 \x20      dopcert catalog [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--discover] [--profile]\n\
                  \x20      dopcert mine [--seed N] [--count N]\n\
                  \x20      dopcert serve [--addr HOST:PORT] [--jobs N] [--saturate] [--sat-iters N] [--sat-nodes N] [--sat-oracle-calls N] [--no-session] [--mined-rules] [--budget-refill N] [--trace-out FILE]\n\
                  \x20      dopcert request --addr HOST:PORT [--cmd check|prove|optimize|catalog|discover|mine|stats|metrics|profile|trace|shutdown] [--tenant NAME] [flags] [file.dop | -]"
@@ -600,7 +592,6 @@ mod tests {
             &["--sat-nodes", "100"][..],
             &["--sat-oracle-calls", "16"][..],
             &["--jobs", "2"][..],
-            &["--no-shared-cache"][..],
             &["--no-session"][..],
             &["--discover"][..],
             &["--addr", "h:1"][..],
@@ -692,10 +683,6 @@ mod tests {
             .unwrap()
             .validate_for("prove")
             .is_err());
-        assert!(flags(&["--no-shared-cache"])
-            .unwrap()
-            .validate_for("prove")
-            .is_err());
     }
 
     #[test]
@@ -707,7 +694,6 @@ mod tests {
             "5",
             "--sat-nodes",
             "10",
-            "--no-shared-cache",
             "x.dop",
         ])
         .unwrap();

@@ -210,13 +210,12 @@ pub fn prove_instance(inst: &RuleInstance) -> Result<(Method, usize), String> {
 }
 
 /// Denotes both sides of an instance without proving anything — used by
-/// the batch engine to pre-seed the shared interner snapshot with every
-/// catalog denotation before the workers start.
+/// the session's multi-seed discovery pass to seed every rule's sides.
 ///
 /// Returns the [`VarGen`] alongside the denotations: its state matches
 /// what [`prove_instance`] holds when it reaches normalization (same
-/// fresh-variable stream, consumed in the same order), which lets the
-/// engine's warm pass reproduce the exact trees the workers intern.
+/// fresh-variable stream, consumed in the same order), which lets a
+/// caller reproduce the exact trees the prover interns.
 ///
 /// # Errors
 ///

@@ -55,6 +55,11 @@ use telemetry::Histogram;
 /// that idle connections cost nothing measurable.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
+/// Longest request line a connection accepts, newline excluded. A
+/// longer line is discarded as it streams in (never buffered whole) and
+/// answered with a `bad request` error; the connection stays open.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Budget refill: a tenant's spent iterations decay at this rate, so
 /// exhaustion is a rate limit rather than a lifetime ban.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -470,7 +475,9 @@ fn request_shutdown(shared: &Shared, addr: SocketAddr) {
 }
 
 /// One connection's read loop: one request per line, one response line
-/// per request, until EOF or shutdown.
+/// per request, until EOF or shutdown. Lines are read with a length cap
+/// ([`MAX_LINE_BYTES`]); an overlong or non-UTF-8 line gets a `bad
+/// request` reply like any other malformed request.
 fn serve_connection(stream: TcpStream, shared: &Shared, senders: &[Sender<Job>]) {
     // Reads wake up periodically to poll the shutdown flag; a timeout
     // mid-line keeps the partial line in `line` and resumes appending.
@@ -482,29 +489,60 @@ fn serve_connection(stream: TcpStream, shared: &Shared, senders: &[Sender<Job>])
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Set once the current line passes the cap; its bytes are dropped
+    // until the newline.
+    let mut overlong = false;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: the client hung up.
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let reply = answer_line(line.trim(), shared, senders);
-                    if writer
-                        .write_all(reply.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
+        let (complete, used, eof) = match reader.fill_buf() {
+            // EOF: the client hung up; answer a final unterminated line.
+            Ok([]) => (!line.is_empty() || overlong, 0, true),
+            Ok(buf) => {
+                let newline = buf.iter().position(|&b| b == b'\n');
+                let chunk = &buf[..newline.unwrap_or(buf.len())];
+                if overlong || line.len() + chunk.len() > MAX_LINE_BYTES {
+                    overlong = true;
+                    line.clear();
+                } else {
+                    line.extend_from_slice(chunk);
                 }
-                line.clear();
+                (
+                    newline.is_some(),
+                    newline.map_or(buf.len(), |i| i + 1),
+                    false,
+                )
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => return,
+        };
+        reader.consume(used);
+        if complete {
+            let text = if overlong {
+                Err(format!("line longer than {MAX_LINE_BYTES} bytes"))
+            } else {
+                std::str::from_utf8(&line)
+                    .map(str::trim)
+                    .map_err(|_| "line is not UTF-8".to_owned())
+            };
+            if text != Ok("") {
+                let reply = answer_line(text, shared, senders);
+                if writer
+                    .write_all(reply.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .and_then(|()| writer.flush())
+                    .is_err()
+                {
+                    return;
+                }
+            }
+            line.clear();
+            overlong = false;
+        }
+        if eof {
+            return;
         }
     }
 }
@@ -527,7 +565,7 @@ fn kind_of(req: &Request) -> &'static str {
 
 /// Answers one request line, recording its end-to-end latency
 /// (decode through response, queueing included) under its kind.
-fn answer_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> String {
+fn answer_line(line: Result<&str, String>, shared: &Shared, senders: &[Sender<Job>]) -> String {
     let start = Instant::now();
     let (kind, reply) = handle_line(line, shared, senders);
     shared.record_latency(kind, start.elapsed().as_micros() as u64);
@@ -535,9 +573,13 @@ fn answer_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> String {
 }
 
 /// One request line's actual handling: decode, admit, dispatch, encode.
-fn handle_line(line: &str, shared: &Shared, senders: &[Sender<Job>]) -> (&'static str, String) {
+fn handle_line(
+    line: Result<&str, String>,
+    shared: &Shared,
+    senders: &[Sender<Job>],
+) -> (&'static str, String) {
     shared.counters.lock().expect("counters lock").requests += 1;
-    let (id, tenant, req) = match decode_request(line) {
+    let (id, tenant, req) = match line.and_then(decode_request) {
         Ok(parts) => parts,
         Err(e) => {
             shared.counters.lock().expect("counters lock").errors += 1;

@@ -14,7 +14,7 @@
 //!  "script": "table R(int); verify R == R;",
 //!  "saturate": "fallback", "session": true,
 //!  "budget": {"iters": 24, "nodes": 10000, "oracle-calls": 64},
-//!  "jobs": 2, "shared-cache": true, "discover": false}
+//!  "jobs": 2, "discover": false}
 //! ```
 //!
 //! `cmd` is required: `check`, `prove`, `optimize`, `catalog`,
@@ -164,7 +164,13 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses one JSON value, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse_json`] accepts. Real requests
+/// and replies nest a handful of levels; the cap keeps a hostile line of
+/// brackets from recursing the parser off the end of its thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON value, rejecting trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
@@ -172,7 +178,7 @@ fn render_string(s: &str, out: &mut String) {
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(input, bytes, &mut pos)?;
+    let value = parse_value(input, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -190,10 +196,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(input: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -204,7 +215,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(input, bytes, pos)? {
+                let key = match parse_value(input, bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
@@ -213,7 +224,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(input, bytes, pos)?;
+                let value = parse_value(input, bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -235,7 +246,7 @@ fn parse_value(input: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(input, bytes, pos)?);
+                items.push(parse_value(input, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -453,9 +464,6 @@ fn decode_options(value: &Json) -> Result<RequestOptions, String> {
                 .ok_or("jobs must be a non-negative integer")?,
         );
     }
-    if let Some(shared) = value.get("shared-cache") {
-        opts.shared_cache = shared.as_bool().ok_or("shared-cache must be a boolean")?;
-    }
     if let Some(mined) = value.get("mined-rules") {
         opts.mined_rules = mined.as_bool().ok_or("mined-rules must be a boolean")?;
     }
@@ -500,9 +508,6 @@ pub fn encode_request(id: &Json, tenant: &str, req: &Request) -> String {
         }
         if let Some(jobs) = opts.jobs {
             map.insert("jobs".to_owned(), Json::Num(jobs as f64));
-        }
-        if opts.shared_cache != defaults.shared_cache {
-            map.insert("shared-cache".to_owned(), Json::Bool(opts.shared_cache));
         }
         if opts.mined_rules != defaults.mined_rules {
             map.insert("mined-rules".to_owned(), Json::Bool(opts.mined_rules));
@@ -904,6 +909,18 @@ mod tests {
             r#"{"cmd":"optimize","script":"x","mined-rules":"yes"}"#,
         ] {
             assert!(decode_request(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&over).unwrap_err().contains("nesting"), "{over}");
+        for hostile in ["[".repeat(40_000), "{\"a\":".repeat(40_000)] {
+            let err = decode_request(&hostile).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! admission, and a nonzero memo hit-rate on repetition-heavy traffic.
 
 use dopcert::api::{execute, Request, RequestOptions};
-use dopcert::serve::{request_once, ServeConfig, Server};
+use dopcert::serve::{request_once, ServeConfig, Server, MAX_LINE_BYTES};
 use dopcert::wire::{decode_response, encode_request, Json};
 use egraph::session::BatchBudget;
 use std::io::{BufRead, BufReader, Write};
@@ -170,6 +170,52 @@ fn malformed_and_over_budget_requests_fail_without_poisoning_the_connection() {
     let stats = server.stats();
     assert_eq!(stats.budget_rejections, 2);
     assert_eq!(stats.errors, 3, "the three malformed lines");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn hostile_lines_get_bad_request_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut roundtrip = |line: &[u8]| {
+            writer.write_all(line).expect("write");
+            writer.write_all(b"\n").expect("write");
+            writer.flush().expect("flush");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read");
+            decode_response(reply.trim()).expect("decode")
+        };
+        // One line of 40 000 nested brackets: a parser without a nesting
+        // cap recurses off its thread's stack and aborts the process.
+        let reply = roundtrip("[".repeat(40_000).as_bytes());
+        let error = reply.error.expect("error");
+        assert!(error.starts_with("bad request:"), "{error}");
+        assert!(error.contains("nesting"), "{error}");
+        // A line past the length cap and a line that is not UTF-8.
+        let reply = roundtrip(&vec![b'x'; MAX_LINE_BYTES + 1]);
+        let error = reply.error.expect("error");
+        assert!(
+            error.starts_with("bad request: line longer than"),
+            "{error}"
+        );
+        let reply = roundtrip(&[0xFF, 0xFE, b'{']);
+        let error = reply.error.expect("error");
+        assert!(error.starts_with("bad request:"), "{error}");
+        // The same connection still answers ...
+        let reply = roundtrip(br#"{"cmd":"stats"}"#);
+        assert!(reply.ok, "{reply:?}");
+    }
+    // ... and so does a new one.
+    let reply =
+        request_once(&addr, &Json::Null, "default", &Request::Stats).expect("daemon survived");
+    assert!(reply.ok, "{reply:?}");
+    assert_eq!(reply.kind, "stats");
+    assert_eq!(server.stats().errors, 3, "the three hostile lines");
     server.shutdown();
     server.wait();
 }

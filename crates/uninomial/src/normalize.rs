@@ -24,8 +24,6 @@ use crate::syntax::{Term, UExpr, Var, VarGen};
 use relalg::Schema;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// A record of lemma applications — the machine-checkable skeleton of a
 /// proof, analogous to the lines of a Coq proof script.
@@ -314,11 +312,10 @@ pub fn normalize(e: &UExpr, gen: &mut VarGen, trace: &mut Trace) -> Spnf {
 }
 
 /// The exact tree the normalizers hand to the rewriting core:
-/// β/η-reduced with all binders refreshed from `gen`. Exposed so batch
-/// warm-up passes (e.g. the proving engine's interner seeding) can
-/// intern precisely the trees the provers will later intern — seeding
-/// anything else (such as the raw denotation) produces nodes the
-/// workers never match.
+/// β/η-reduced with all binders refreshed from `gen`. Exposed so callers
+/// that intern ahead of time can intern precisely the trees the
+/// provers will later intern — interning anything else (such as the
+/// raw denotation) produces nodes the provers never match.
 pub fn normalization_input(e: &UExpr, gen: &mut VarGen) -> UExpr {
     gen.reserve_above(e.max_var_id());
     e.beta_reduce_terms().refresh_binders(gen)
@@ -850,176 +847,13 @@ pub(crate) fn simplify_term(
 pub struct NormCache {
     interner: Interner,
     memo: HashMap<UExprId, MemoEntry>,
-    shared: Option<Arc<SharedMemo>>,
     hits: u64,
     misses: u64,
-    shared_hits: u64,
 }
 
 /// A memoized normalization result: the normal form plus the trace
 /// fragment its computation records.
 type MemoEntry = (Spnf, Vec<(Lemma, String)>);
-
-/// A memo table shared across the batch engine's workers, with a
-/// lock-free read path over the snapshot prefix.
-///
-/// Per-worker [`NormCache`]s never see each other's work; a catalog
-/// whose rules share denotation fragments normalizes each fragment once
-/// *per worker*. `SharedMemo` closes that gap for the ids every worker
-/// agrees on: each worker's interner is a clone of one frozen snapshot,
-/// and arena ids are dense indices, so ids **below the snapshot size**
-/// denote the identical tree in every worker. Only those ids are
-/// admitted to the shared table (worker-private ids diverge and stay in
-/// the private memo), which is why sharing preserves the bit-identical
-/// results and traces of the private path: memoized normalization of a
-/// binder-free node is a pure function of the tree, no matter which
-/// worker computed it.
-///
-/// Layout: the snapshot prefix is a pre-sized slot array — one
-/// [`AtomicPtr`] per snapshot id. A hit is a single `Acquire` load and
-/// an entry clone: no lock, no hashing, no contention between engine
-/// workers or serve's worker-pinned sessions. A miss publishes its
-/// entry with one compare-exchange; losing a publish race just drops
-/// the duplicate (both racers computed the same pure function of the
-/// same tree). The `Mutex` stripes remain only as the writable
-/// overflow for covered ids above the pre-published read layer
-/// ([`SharedMemo::for_snapshot_striped`] routes everything through
-/// them — kept as the differential reference the property tests
-/// compare the lock-free path against).
-#[derive(Debug, Default)]
-pub struct SharedMemo {
-    /// Ids below this bound are snapshot ids, identical in all workers.
-    limit: usize,
-    /// Lock-free read layer: slot `i` holds id `i`'s entry once some
-    /// worker publishes it. Published pointers are immutable until drop.
-    slots: Vec<AtomicPtr<MemoEntry>>,
-    /// Striped overflow for covered ids ≥ `slots.len()`.
-    stripes: Vec<Mutex<HashMap<UExprId, MemoEntry>>>,
-}
-
-// SAFETY invariant behind the raw pointers: a slot transitions once,
-// from null to a `Box::into_raw` pointer, via compare-exchange; the
-// pointee is never mutated or freed while the table is alive, so a
-// cloned read after an `Acquire` load always sees a fully initialized
-// entry. `Drop` (which has `&mut self`, hence no concurrent readers)
-// reclaims the boxes.
-impl SharedMemo {
-    /// A table covering the snapshot prefix of `interner`: the whole
-    /// prefix is the lock-free pre-published read layer; `stripes`
-    /// locks back the (here empty) overflow.
-    pub fn for_snapshot(interner: &Interner, stripes: usize) -> Arc<SharedMemo> {
-        SharedMemo::with_read_layer(interner.uexpr_count(), interner.uexpr_count(), stripes)
-    }
-
-    /// The all-striped reference implementation: same coverage, every
-    /// access through the Mutex stripes. The lock-free path is
-    /// property-tested byte-identical against this.
-    pub fn for_snapshot_striped(interner: &Interner, stripes: usize) -> Arc<SharedMemo> {
-        SharedMemo::with_read_layer(interner.uexpr_count(), 0, stripes)
-    }
-
-    fn with_read_layer(limit: usize, read: usize, stripes: usize) -> Arc<SharedMemo> {
-        Arc::new(SharedMemo {
-            limit,
-            slots: (0..read.min(limit)).map(|_| AtomicPtr::default()).collect(),
-            stripes: (0..stripes.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        })
-    }
-
-    /// Whether an id is eligible for sharing.
-    fn covers(&self, id: UExprId) -> bool {
-        id.index() < self.limit
-    }
-
-    fn stripe(&self, id: UExprId) -> &Mutex<HashMap<UExprId, MemoEntry>> {
-        &self.stripes[id.index() % self.stripes.len()]
-    }
-
-    fn get(&self, id: UExprId) -> Option<MemoEntry> {
-        match self.slots.get(id.index()) {
-            Some(slot) => {
-                let p = slot.load(Ordering::Acquire);
-                if p.is_null() {
-                    None
-                } else {
-                    // SAFETY: non-null slots hold a published, immutable
-                    // `Box` that outlives every reader (see invariant).
-                    Some(unsafe { (*p).clone() })
-                }
-            }
-            None => self
-                .stripe(id)
-                .lock()
-                .expect("no poisoned memo stripe")
-                .get(&id)
-                .cloned(),
-        }
-    }
-
-    fn insert(&self, id: UExprId, entry: MemoEntry) {
-        match self.slots.get(id.index()) {
-            Some(slot) => {
-                let p = Box::into_raw(Box::new(entry));
-                if slot
-                    .compare_exchange(
-                        std::ptr::null_mut(),
-                        p,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    )
-                    .is_err()
-                {
-                    // Lost the publish race; the winner's entry is the
-                    // same pure-function result, keep it.
-                    // SAFETY: `p` came from `Box::into_raw` above and
-                    // was never published.
-                    drop(unsafe { Box::from_raw(p) });
-                }
-            }
-            None => {
-                self.stripe(id)
-                    .lock()
-                    .expect("no poisoned memo stripe")
-                    .entry(id)
-                    .or_insert(entry);
-            }
-        }
-    }
-
-    /// Total entries across the read layer and all stripes
-    /// (diagnostics).
-    pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !s.load(Ordering::Acquire).is_null())
-            .count()
-            + self
-                .stripes
-                .iter()
-                .map(|s| s.lock().expect("no poisoned memo stripe").len())
-                .sum::<usize>()
-    }
-
-    /// Whether no entries have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Drop for SharedMemo {
-    fn drop(&mut self) {
-        for slot in &mut self.slots {
-            let p = *slot.get_mut();
-            if !p.is_null() {
-                // SAFETY: published via `Box::into_raw`, never freed
-                // before; `&mut self` excludes concurrent readers.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
 
 impl NormCache {
     /// An empty cache.
@@ -1027,32 +861,12 @@ impl NormCache {
         NormCache::default()
     }
 
-    /// A cache whose interner starts from a shared frozen snapshot (the
-    /// batch engine's per-worker seeding path).
-    pub fn from_interner(interner: Interner) -> NormCache {
-        NormCache {
-            interner,
-            ..NormCache::default()
-        }
-    }
-
-    /// [`NormCache::from_interner`] with a cross-worker [`SharedMemo`]
-    /// attached. Results and traces are bit-identical to the unshared
-    /// path; only the wall-clock cost of repeated normalizations drops.
-    pub fn from_interner_shared(interner: Interner, shared: Arc<SharedMemo>) -> NormCache {
-        NormCache {
-            interner,
-            shared: Some(shared),
-            ..NormCache::default()
-        }
-    }
-
     /// The underlying interner.
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
 
-    /// Number of private memo-table hits so far.
+    /// Number of memo-table hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -1060,11 +874,6 @@ impl NormCache {
     /// Number of memo-table misses (entries computed) so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of hits served by the cross-worker shared table.
-    pub fn shared_hits(&self) -> u64 {
-        self.shared_hits
     }
 }
 
@@ -1081,7 +890,7 @@ pub fn normalize_with_cache(
     cache: &mut NormCache,
 ) -> Spnf {
     let _span = telemetry::span("uninomial.normalize");
-    let (hits0, misses0, shared0) = (cache.hits, cache.misses, cache.shared_hits);
+    let (hits0, misses0) = (cache.hits, cache.misses);
     let e = normalization_input(e, gen);
     // One interning pass at the root; the recursion below walks the
     // id-DAG, so shared subtrees are traversed (and normalized) once.
@@ -1089,7 +898,6 @@ pub fn normalize_with_cache(
     let spnf = norm_id(id, gen, trace, cache);
     telemetry::count("memo.norm.hit", cache.hits - hits0);
     telemetry::count("memo.norm.miss", cache.misses - misses0);
-    telemetry::count("memo.norm.shared_hit", cache.shared_hits - shared0);
     spnf
 }
 
@@ -1119,28 +927,12 @@ fn norm_id(id: UExprId, gen: &mut VarGen, trace: &mut Trace, cache: &mut NormCac
             }
             return spnf;
         }
-        // Snapshot-prefix ids denote the same tree in every worker, so
-        // another worker's entry is exactly what recomputation would
-        // produce (normalization of binder-free nodes is pure); copy it
-        // into the private memo to skip the lock next time.
-        if let Some(shared) = cache.shared.as_ref().filter(|s| s.covers(id)) {
-            if let Some((spnf, steps)) = shared.get(id) {
-                cache.shared_hits += 1;
-                for (lemma, note) in steps.iter().cloned() {
-                    trace.step(lemma, note);
-                }
-                cache.memo.insert(id, (spnf.clone(), steps));
-                return spnf;
-            }
-        }
         cache.misses += 1;
         let mut fragment = Trace::new();
         let spnf = norm_id_arms(id, gen, &mut fragment, cache);
-        let entry = (spnf.clone(), fragment.steps().to_vec());
-        if let Some(shared) = cache.shared.as_ref().filter(|s| s.covers(id)) {
-            shared.insert(id, entry.clone());
-        }
-        cache.memo.insert(id, entry);
+        cache
+            .memo
+            .insert(id, (spnf.clone(), fragment.steps().to_vec()));
         trace.extend(fragment);
         return spnf;
     }

@@ -117,8 +117,8 @@ pub struct Interner {
     uexpr_ids: HashMap<UExprNode, UExprId>,
 }
 
-/// A frozen, shareable view of an [`Interner`]: the lock-free seed the
-/// batch engine hands to each worker thread.
+/// A frozen, shareable view of an [`Interner`]: threads read it without
+/// locking, and clones of it extend privately.
 pub type InternerSnapshot = Arc<Interner>;
 
 impl Interner {
